@@ -31,7 +31,9 @@ from __future__ import annotations
 import heapq
 import time as _time
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.intra_strip import IntraPlan, plan_within_strip
 from repro.core.intra_strip_exact import plan_within_strip_exact
@@ -50,7 +52,7 @@ from repro.core.segments import Segment, make_wait
 # need it); re-exported here for its long-standing import path.
 from repro.core.store_base import SegmentStore
 from repro.core.store_base import _entry_clear_time as _entry_clear_time
-from repro.core.strips import StripGraph
+from repro.core.strips import AisleEdge, StripGraph
 from repro.types import Grid, Query, manhattan
 
 #: a committed boundary crossing: the robot is at from_cell at time-1
@@ -77,6 +79,14 @@ _CERT_STORE_MAX = 16
 #: exactly; the columnar layout's hint counts band-index entries near
 #: the probe, making the throttle per-region instead of per-store.
 _MINT_SCAN_MAX = 32
+
+#: Aisle degree above which a settle queues its edge stubs through one
+#: sorted :class:`_Cursor` instead of one heap entry per neighbor (the
+#: partial expansion of Yoshizumi et al., AAAI 2000).  Warehouse aisle
+#: degrees are bimodal: longitudinal aisles have 2-4 aisle neighbors,
+#: latitudinal ones (whole rack-free rows) 69-231 on W-1..W-3.  Purely a
+#: performance gate — either side of it produces bit-identical routes.
+_CURSOR_DEGREE = 32
 
 
 @dataclass(frozen=True)
@@ -130,6 +140,8 @@ class SearchStats:
     #: intra-strip searches answered free-flow straight from the store's
     #: band interval index (no cache involved; works cache-off too)
     band_skips: int = 0
+    #: entries pushed on the search heap (labels, edge stubs, cursors)
+    heap_pushes: int = 0
 
 
 @dataclass(frozen=True)
@@ -200,8 +212,8 @@ def _nearest_transit(
 ) -> Optional[Tuple[int, int]]:
     """Greedy transit choice (Fig. 10): the adjacent pair nearest ``pos``.
 
-    ``ranges`` are the plain ``(lo, hi, offset)`` tuples of
-    :meth:`repro.core.strips.StripGraph.neighbor_transits` — this runs
+    ``ranges`` are the plain ``(lo, hi, offset)`` tuples of a gapped row
+    of :attr:`repro.core.strips.StripGraph._aisle_adjacency` — this runs
     once per (settled strip, neighbor) pair, hence the flat ints.
     """
     best: Optional[Tuple[int, int]] = None
@@ -236,6 +248,27 @@ def _transit_toward(
             best = (tp, vp)
             best_key = key
     return best
+
+
+class _Cursor:
+    """The edge stubs of one wide-strip settle, sorted in heap order.
+
+    ``slots`` lists the settled strip's adjacency rows by ``(key, -bound,
+    seq)``.  Only one stub sits on the heap at a time; its transit ``(v,
+    tp, vp, bound)`` is kept here for the pop, and ``i`` is the next slot
+    to scan after it.
+    """
+
+    __slots__ = ("u", "arrival", "pos", "seq0", "slots", "i", "v", "tp", "vp", "bound")
+
+    def __init__(self, u: int, arrival: int, pos: int, seq0: int, slots: List[int]) -> None:
+        self.u = u
+        self.arrival = arrival
+        self.pos = pos
+        self.seq0 = seq0
+        self.slots = slots
+        self.i = 0
+        self.v = self.tp = self.vp = self.bound = 0
 
 
 class _Search:
@@ -644,23 +677,25 @@ class _Search:
 
         labels: Dict[int, _Label] = {}
         # Entries: (key, -arrival, seq, kind, *payload); kind 0 settles a
-        # strip label, kind 1 lazily evaluates one edge (u, v, tp, vp).
+        # strip label, kind 1 lazily evaluates one edge (u, v, tp, vp),
+        # kind 2 evaluates the head stub of a wide settle's _Cursor.
         # Edge keys are admissible lower bounds (free-flow transit +
         # hop), so expensive intra-strip planning only runs for edges
         # that are actually competitive — lazy edge evaluation.  Stubs
         # are flattened into the heap tuple itself (arity 9 vs the
         # settle entries' 5): ``seq`` is unique, so tuple comparison
         # never reads past index 2 and the mixed arities are safe.
-        heap: List[Tuple[int, ...]] = []
+        heap: List[Tuple[Any, ...]] = []
         seq = 0
 
         di, dj = dst
         use_h = self.config.use_heuristic
         # h(v, vp) = hK[v] + |vp + hM[v]| — see StripGraph.heuristic_tables.
-        if use_h:
-            hK, hM = graph.heuristic_tables(di, dj)
-        else:
-            hK = hM = []
+        hK_arr, hM_arr = graph.heuristic_tables(di, dj)
+        hK: List[int] = hK_arr.tolist() if use_h else []
+        hM: List[int] = hM_arr.tolist() if use_h else []
+
+        stats = self.stats
 
         def heuristic(strip: int, pos: int) -> int:
             if not use_h:
@@ -676,6 +711,7 @@ class _Search:
                 return
             labels[strip] = label
             seq += 1
+            stats.heap_pushes += 1
             # Tie-break equal keys toward larger arrival: depth-first
             # across f-plateaus, like the grid A*'s -t tie-break; without
             # it the search sweeps the whole equal-cost band of strips.
@@ -776,7 +812,6 @@ class _Search:
         # else at the strip level.
         aisle_adjacency = graph._aisle_adjacency
         heappush = heapq.heappush
-        stats = self.stats
         labels_get = labels.get
         allowed = self.allowed
 
@@ -800,7 +835,18 @@ class _Search:
                     base.append(Leg(u, label.entry, []))
                     record_completion(base, tail)
 
-            for v, lo, hi, offset, multi in aisle_adjacency[u]:
+            row = aisle_adjacency[u]
+            # Two seq numbers per adjacency slot (a target edge may queue
+            # two transits): stubs tie-break in adjacency order however
+            # they are queued.
+            seq0 = seq + 1
+            seq += 2 * len(row)
+            edges: Iterable[Tuple[int, AisleEdge]] = (
+                open_cursor(u, arrival, pos, seq0)
+                if len(row) > _CURSOR_DEGREE
+                else enumerate(row)
+            )
+            for slot, (v, lo, hi, offset, multi) in edges:
                 if allowed is not None and not allowed[v]:
                     continue
                 existing = labels_get(v)
@@ -832,8 +878,8 @@ class _Search:
                         continue
                     if best is not None and key >= best.arrival_time:
                         continue
-                    seq += 1
-                    heappush(heap, (key, -bound, seq, 1, u, v, tp, vp, bound))
+                    stats.heap_pushes += 1
+                    heappush(heap, (key, -bound, seq0 + 2 * slot, 1, u, v, tp, vp, bound))
                     continue
                 # Target strip: additionally try entering right at the
                 # goal column — traversing a long congested strip against
@@ -849,11 +895,81 @@ class _Search:
                 aligned = _transit_toward(ranges, pos, goal_pos)
                 if aligned is not None and aligned not in transits:
                     transits.append(aligned)
-                for tp, vp in transits:
+                for j, (tp, vp) in enumerate(transits):
                     bound = arrival + (pos - tp if tp < pos else tp - pos) + 1
-                    seq += 1
                     h = hK[v] + abs(vp + hM[v]) if use_h else 0
-                    heappush(heap, (bound + h, -bound, seq, 1, u, v, tp, vp, bound))
+                    stats.heap_pushes += 1
+                    heappush(
+                        heap, (bound + h, -bound, seq0 + 2 * slot + j, 1, u, v, tp, vp, bound)
+                    )
+
+        def open_cursor(
+            u: int, arrival: int, pos: int, seq0: int
+        ) -> List[Tuple[int, AisleEdge]]:
+            """Queue a wide strip's plain edge stubs behind one heap entry.
+
+            Bounds and keys of every single-range edge come from a few
+            vectorised operations; stubs beyond the detour budget are
+            dropped and the rest sorted into a :class:`_Cursor`.  Returns
+            the ``(slot, edge)`` rows left for the per-stub loop: gapped
+            boundaries and target strips.
+            """
+            row = aisle_adjacency[u]
+            cols = graph.transit_arrays(u)
+            tp = np.minimum(np.maximum(cols.lo, pos), cols.hi)
+            vp = tp + cols.offset
+            bound = np.abs(tp - pos) + (arrival + 1)
+            key = bound + hK_arr[cols.v] + np.abs(vp + hM_arr[cols.v]) if use_h else bound
+            keep = key <= key_limit
+            rest = [(slot, row[slot]) for slot in cols.gapped]
+            for v in target_strips:
+                j = cols.index.get(v)
+                if j is not None:
+                    keep[j] = False
+                    slot = int(cols.slot[j])
+                    rest.append((slot, row[slot]))
+            live = np.flatnonzero(keep)
+            if live.size:
+                # lexsort is stable: equal (key, -bound) stubs stay in
+                # adjacency order, which is their seq order.
+                live = live[np.lexsort((-bound[live], key[live]))]
+                queue_cursor(_Cursor(u, arrival, pos, seq0, cols.slot[live].tolist()), 0)
+            return rest
+
+        def queue_cursor(cursor: _Cursor, i: int) -> None:
+            """Put the cursor's first live stub at or after ``i`` on the heap.
+
+            The stub is the per-stub path's, recomputed in scalars for
+            only the few stubs a search reaches, and so are its
+            settle-time filters: a stub into a disallowed strip is
+            dropped; one into a settled or dominating strip too, as
+            evaluate_edge would discard it without effect (labels only
+            improve or settle).  Once the head key reaches the incumbent
+            route the pop loop would stop at it, so the cursor is dropped.
+            """
+            row = aisle_adjacency[cursor.u]
+            slots, arrival, pos = cursor.slots, cursor.arrival, cursor.pos
+            while i < len(slots):
+                slot = slots[i]
+                i += 1
+                v, lo, hi, offset, _multi = row[slot]
+                if allowed is not None and not allowed[v]:
+                    continue
+                existing = labels_get(v)
+                if existing is not None and existing.settled:
+                    continue
+                tp = lo if pos < lo else (hi if pos > hi else pos)
+                bound = arrival + (pos - tp if tp < pos else tp - pos) + 1
+                if existing is not None and existing.arrival <= bound:
+                    continue
+                vp = tp + offset
+                key = bound + hK[v] + abs(vp + hM[v]) if use_h else bound
+                if best is not None and key >= best.arrival_time:
+                    return
+                cursor.i, cursor.v, cursor.tp, cursor.vp, cursor.bound = i, v, tp, vp, bound
+                stats.heap_pushes += 1
+                heappush(heap, (key, -bound, cursor.seq0 + 2 * slot, 2, cursor))
+                return
 
         def evaluate_edge(u: int, v: int, tp: int, vp: int, bound: int) -> None:
             """Pop handler for an edge stub: run the real intra/crossing."""
@@ -904,10 +1020,15 @@ class _Search:
                 break
             if key > key_limit:
                 break  # nothing within the detour budget remains
-            if entry[3] == 0:
+            kind = entry[3]
+            if kind == 0:
                 settle(entry[4])
-            else:
+            elif kind == 1:
                 evaluate_edge(entry[4], entry[5], entry[6], entry[7], entry[8])
+            else:
+                cursor = entry[4]
+                evaluate_edge(cursor.u, cursor.v, cursor.tp, cursor.vp, cursor.bound)
+                queue_cursor(cursor, cursor.i)
 
         return best
 

@@ -52,6 +52,8 @@ class SRPStats:
     intra_calls: int = 0
     intra_expansions: int = 0
     strips_popped: int = 0
+    #: entries pushed on the strip-level search heap
+    heap_pushes: int = 0
     edges_relaxed: int = 0
     #: intra-strip calls answered from the plan cache (positive results,
     #: including window and shift certificate hits)
@@ -356,6 +358,7 @@ class SRPPlanner(Planner):
         self.stats.intra_calls += stats.intra_calls
         self.stats.intra_expansions += stats.intra_expansions
         self.stats.strips_popped += stats.strips_popped
+        self.stats.heap_pushes += stats.heap_pushes
         self.stats.edges_relaxed += stats.edges_relaxed
         self.stats.cache_hits += stats.cache_hits
         self.stats.cache_negative_hits += stats.cache_negative_hits

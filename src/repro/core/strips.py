@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from repro.exceptions import LayoutError
 from repro.types import Grid
@@ -105,6 +106,30 @@ class TransitRange:
         return min(max(pos, self.lo), self.hi)
 
 
+#: one row of :attr:`StripGraph._aisle_adjacency`: ``(v, lo, hi, offset,
+#: None)`` for a single transit range, ``(v, 0, 0, 0, ranges)`` otherwise
+AisleEdge = Tuple[int, int, int, int, Optional[Tuple[Tuple[int, int, int], ...]]]
+
+
+class TransitArrays(NamedTuple):
+    """One strip's single-range aisle edges as int64 columns.
+
+    Entry ``j`` is row ``slot[j]`` of the strip's aisle adjacency; the
+    inter-strip search bounds and sorts all of a wide strip's edges with
+    a few vectorised operations over these columns.
+    """
+
+    v: NDArray[np.int64]
+    lo: NDArray[np.int64]
+    hi: NDArray[np.int64]
+    offset: NDArray[np.int64]
+    slot: NDArray[np.int64]
+    #: neighbor strip -> entry index
+    index: Dict[int, int]
+    #: adjacency slots of gapped (multi-range) edges, not in the columns
+    gapped: Tuple[int, ...]
+
+
 class StripGraph:
     """The strip graph ``S = <V, E>`` (Definition 5) plus grid mapping."""
 
@@ -117,14 +142,6 @@ class StripGraph:
         # adjacency[u] -> {v: [TransitRange, ...]}
         self.adjacency: List[Dict[int, List[TransitRange]]] = [dict() for _ in strips]
         self._build_edges()
-        # Flattened views of the graph for the planner's hot loop: the
-        # inter-strip search touches every neighbor of every settled
-        # strip, so dataclass/enum attribute chains there are measurable.
-        # Same iteration order as neighbors() (dict insertion order).
-        self._fast_adjacency: List[List[Tuple[int, Tuple[Tuple[int, int, int], ...]]]] = [
-            [(v, tuple((r.lo, r.hi, r.offset) for r in ranges)) for v, ranges in adj.items()]
-            for adj in self.adjacency
-        ]
         #: per-strip (alpha_row, alpha_col, is_latitudinal) for O(1) heuristics
         self.anchors: List[Tuple[int, int, bool]] = [
             (s.alpha[0], s.alpha[1], s.direction is Direction.LATITUDINAL)
@@ -132,26 +149,28 @@ class StripGraph:
         ]
         #: per-strip aisle flag (plain bools, no enum comparison)
         self.aisle_flags: List[bool] = [s.is_aisle for s in strips]
-        # Aisle-only mirror of the fast adjacency: the search traverses
-        # aisle strips exclusively (racks are endpoints), so its settle
-        # loop should not even see rack neighbors.  The single-transit-
+        # Flattened aisle-only view of the graph for the planner's hot
+        # loop: the inter-strip search touches every aisle neighbor of
+        # every settled strip (racks are only endpoints), so dataclass
+        # attribute chains there are measurable.  Same iteration order
+        # as neighbors() (dict insertion order).  The single-transit-
         # range case — the overwhelming warehouse boundary shape — is
         # pre-unpacked into the row tuple itself: ``(v, lo, hi, offset,
-        # None)``, with ``(v, 0, 0, 0, ranges)`` for gapped boundaries,
-        # so the settle loop clips positions without touching a nested
-        # tuple per neighbor.
-        self._aisle_adjacency: List[
-            List[Tuple[int, int, int, int, Optional[Tuple[Tuple[int, int, int], ...]]]]
-        ] = [
+        # None)``, with ``(v, 0, 0, 0, ((lo, hi, offset), ...))`` for
+        # gapped boundaries, so the settle loop clips positions without
+        # touching a nested tuple per neighbor.
+        self._aisle_adjacency: List[List[AisleEdge]] = [
             [
-                (v, ranges[0][0], ranges[0][1], ranges[0][2], None)
+                (v, ranges[0].lo, ranges[0].hi, ranges[0].offset, None)
                 if len(ranges) == 1
-                else (v, 0, 0, 0, ranges)
-                for v, ranges in row
+                else (v, 0, 0, 0, tuple((r.lo, r.hi, r.offset) for r in ranges))
+                for v, ranges in adj.items()
                 if self.aisle_flags[v]
             ]
-            for row in self._fast_adjacency
+            for adj in self.adjacency
         ]
+        # Column form of wide rows, built on a strip's first wide settle.
+        self._transit_arrays: List[Optional[TransitArrays]] = [None] * len(strips)
         # Columnar mirror of ``anchors`` so heuristic_tables() can fold
         # a whole destination into per-strip constants with a handful of
         # vectorised ops instead of a Python loop over every strip.
@@ -159,19 +178,49 @@ class StripGraph:
         self._anchor_cols = np.array([a[1] for a in self.anchors], dtype=np.int64)
         self._anchor_lat = np.array([a[2] for a in self.anchors], dtype=bool)
 
-    def heuristic_tables(self, di: int, dj: int) -> Tuple[List[int], List[int]]:
+    def heuristic_tables(
+        self, di: int, dj: int
+    ) -> Tuple[NDArray[np.int64], NDArray[np.int64]]:
         """Per-strip constants folding the Manhattan heuristic to ``(di, dj)``.
 
         For a position ``vp`` on strip ``v`` the heuristic is
         ``K[v] + |vp + M[v]|``: the cross-axis distance is fixed per
         strip (``K``) and the along-axis term is an absolute offset
         (``M``), so the search's per-stub cost drops to one list index,
-        one add and one ``abs`` — no anchor tuple unpacking.
+        one add and one ``abs`` — no anchor tuple unpacking.  Returned as
+        int64 arrays indexed by strip; the search's scalar path takes
+        their ``tolist()`` form.
         """
         rows, cols, lat = self._anchor_rows, self._anchor_cols, self._anchor_lat
         fixed = np.where(lat, np.abs(rows - di), np.abs(cols - dj))
         offset = np.where(lat, cols - dj, rows - di)
-        return fixed.tolist(), offset.tolist()
+        return fixed, offset
+
+    def transit_arrays(self, strip_index: int) -> TransitArrays:
+        """Column form of a strip's single-range aisle edges.
+
+        Built on first use and kept: only the search's wide settles ask,
+        so set-up pays nothing for the many strips that never need it.
+        Two threads racing here build equal arrays, so either may win.
+        """
+        arrays = self._transit_arrays[strip_index]
+        if arrays is None:
+            row = self._aisle_adjacency[strip_index]
+            single = [slot for slot, edge in enumerate(row) if edge[4] is None]
+            v, lo, hi, offset = (
+                np.array([row[slot][k] for slot in single], dtype=np.int64) for k in range(4)
+            )
+            arrays = TransitArrays(
+                v,
+                lo,
+                hi,
+                offset,
+                np.array(single, dtype=np.int64),
+                {row[slot][0]: j for j, slot in enumerate(single)},
+                tuple(slot for slot, edge in enumerate(row) if edge[4] is not None),
+            )
+            self._transit_arrays[strip_index] = arrays
+        return arrays
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -193,16 +242,6 @@ class StripGraph:
     def neighbors(self, strip_index: int) -> Iterator[Tuple[int, List[TransitRange]]]:
         """Yield ``(neighbor_index, transit_ranges)`` pairs."""
         yield from self.adjacency[strip_index].items()
-
-    def neighbor_transits(
-        self, strip_index: int
-    ) -> List[Tuple[int, Tuple[Tuple[int, int, int], ...]]]:
-        """Materialised ``(neighbor, ((lo, hi, offset), ...))`` pairs.
-
-        The plain-int-tuple mirror of :meth:`neighbors`, used by the
-        inter-strip search's hot loop.
-        """
-        return self._fast_adjacency[strip_index]
 
     # ------------------------------------------------------------------
     # Table II statistics

@@ -141,8 +141,8 @@ class TestCrossingSemantics:
 
 
 class TestNearestTransit:
-    # The helpers take the flattened (lo, hi, offset) tuples of
-    # StripGraph.neighbor_transits, not TransitRange objects.
+    # The helpers take the flattened (lo, hi, offset) tuples of a gapped
+    # StripGraph._aisle_adjacency row, not TransitRange objects.
     def test_inside_range(self):
         assert _nearest_transit([(0, 9, 2)], 4) == (4, 6)
 
