@@ -1,4 +1,4 @@
-"""Columnar (array-backed) segment store: the slope index, vectorised.
+"""Columnar (array-backed) segment store: the slope index over flat columns.
 
 :class:`ColumnarSegmentStore` answers exactly the same queries as
 :class:`repro.core.slope_index.SlopeIndexedStore` — same blocked times,
@@ -11,12 +11,14 @@ segment:
 
 The layout buys three things the object-per-segment stores cannot offer:
 
-* **Vectorised collision filtering.**  A candidate window is a single
-  ``bisect`` pair on the ``t0`` column; for congested strips the
-  per-candidate conflict arithmetic (Definition 6's vertex/swap cases)
-  runs as numpy masks over zero-copy ``int64`` views of the columns,
-  replacing the per-segment Python loop.  Small windows take a scalar
-  fast path — numpy's per-op overhead loses to a short Python loop.
+* **One contiguous candidate window per scan.**  The candidates of a
+  probe are a single ``bisect`` pair on the ``t0`` column (widened by
+  the longest stored duration), and Definition 6's vertex/swap
+  arithmetic runs as one scalar loop over that column range, with an
+  early exit once no later candidate can win the tie-break.  Windows
+  are small in practice (about 27 candidates, 9 of them alive, on the
+  full-scale query stream), so a per-call vectorised path never pays
+  back its fixed cost.
 * **Batched occupancy scans.**  :meth:`first_occupied` and
   :meth:`clear_entry_time` answer a whole time span per call from one
   column scan, where the object stores replay per-second point probes.
@@ -42,27 +44,17 @@ combined columns to one slope class reproduces that class's per-slope
 list order (both are bisect-right insertion orders on ``t0``), so this
 key reproduces the slope index's "same-slope first, then classes in
 scan order, strict ``<`` within a class" selection exactly.
-
-Zero-copy views and resize safety: numpy views are built with
-``np.frombuffer`` over the live ``array('q')`` buffers and cached until
-the next mutation.  CPython refuses to resize an array whose buffer is
-exported, so every mutating method drops the cached views *before*
-touching a column; query methods never let a view escape.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
-from numpy.typing import NDArray
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.segments import Segment
 from repro.core.store_base import (
     FOREVER,
-    BandSignature,
     ConflictHit,
     SegmentStore,
     _band_time_interval,
@@ -70,10 +62,6 @@ from repro.core.store_base import (
 
 #: Width (cells) of the position bands of the free-window interval index.
 BAND_WIDTH = 16
-
-#: Candidate-window sizes up to this run the scalar loop; larger windows
-#: go through the numpy path.  Crossover measured on the hot-path bench.
-_SCALAR_MAX = 32
 
 #: Sentinel larger than any real blocked time (times fit in well under
 #: 62 bits; FOREVER is 2**60).
@@ -98,10 +86,11 @@ class ColumnarSegmentStore(SegmentStore):
     """Array-backed store, bit-compatible with the slope index.
 
     See the module docstring for the layout and the tie-break contract.
-    Instrumentation note: :attr:`judged` counts window candidates whose
-    time span can overlap the probe (the work the scan actually touches)
-    rather than the slope index's per-bucket judgement count; only
-    slope-index-specific tests depend on the exact ``judged`` value.
+    Instrumentation note: :attr:`judged` counts the window candidates
+    whose time span can overlap the probe and which the scan loop reached
+    before its early exit, rather than the slope index's per-bucket
+    judgement count; only slope-index-specific tests depend on the exact
+    ``judged`` value.
     """
 
     cheap_scans = True
@@ -109,7 +98,7 @@ class ColumnarSegmentStore(SegmentStore):
     __slots__ = (
         "queries", "judged", "version", "last_end",
         "_t0", "_t1", "_p0", "_p1", "_k", "_c", "_own",
-        "_max_duration", "_bands", "_maxb", "_np",
+        "_max_duration", "_bands", "_maxb",
     )
 
     def __init__(self) -> None:
@@ -130,26 +119,10 @@ class ColumnarSegmentStore(SegmentStore):
         #: so "any interval overlapping [t0, t1]?" is one bisect + one
         #: comparison instead of a scan
         self._maxb: Dict[int, List[int]] = {}
-        #: cached zero-copy int64 views of the columns (dropped on mutation)
-        self._np: Optional[Tuple[NDArray[np.int64], ...]] = None
-
-    # ------------------------------------------------------------------
-    # views
-    def _views(self) -> Tuple[NDArray[np.int64], ...]:
-        views = self._np
-        if views is None:
-            views = tuple(
-                np.frombuffer(col, dtype=np.int64)
-                for col in (self._t0, self._t1, self._p0, self._p1,
-                            self._k, self._c, self._own)
-            )
-            self._np = views
-        return views
 
     # ------------------------------------------------------------------
     # mutation
     def insert(self, segment: Segment, owner: int = -1) -> None:
-        self._np = None  # release buffer exports before resizing
         t0 = segment.t0
         idx = bisect_right(self._t0, t0)
         self._t0.insert(idx, t0)
@@ -206,7 +179,6 @@ class ColumnarSegmentStore(SegmentStore):
                 found = i  # keep scanning: drop the *last* equal instance
         if found < 0:
             raise KeyError(f"segment {segment!r} not stored")
-        self._np = None  # release buffer exports before resizing
         duration = segment.t1 - t0
         del self._t0[found]
         del self._t1[found]
@@ -249,7 +221,6 @@ class ColumnarSegmentStore(SegmentStore):
         dropped = n - len(keep)
         if dropped == 0:
             return 0
-        self._np = None  # old columns die with their buffer exports
         self._t0 = array("q", [self._t0[i] for i in keep])
         self._t1 = array("q", [self._t1[i] for i in keep])
         self._p0 = array("q", [self._p0[i] for i in keep])
@@ -287,7 +258,6 @@ class ColumnarSegmentStore(SegmentStore):
         if len(self._t0) == 0:
             self.last_end = -1
             return
-        self._np = None
         self._t0 = array("q")
         self._t1 = array("q")
         self._p0 = array("q")
@@ -316,6 +286,8 @@ class ColumnarSegmentStore(SegmentStore):
         return len(self._t0)
 
     def iter_segments(self) -> Iterator[Segment]:
+        # Column order is the scan order of earliest_conflict, so the
+        # inherited band_signature satisfies its canonical-order contract.
         for i in range(len(self._t0)):
             yield Segment(self._t0[i], self._p0[i], self._t1[i], self._p1[i])
 
@@ -380,15 +352,6 @@ class ColumnarSegmentStore(SegmentStore):
             # index is clear there.
             return None
         lo, hi = self._window(segment.t0, segment.t1)
-        if lo >= hi:
-            return None
-        if hi - lo <= _SCALAR_MAX:
-            return self._conflict_scalar(segment, lo, hi)
-        return self._conflict_vector(segment, lo, hi)
-
-    def _conflict_scalar(
-        self, segment: Segment, lo: int, hi: int
-    ) -> Optional[ConflictHit]:
         t0a, t1a = self._t0, self._t1
         ka, ca = self._k, self._c
         qt0, qt1 = segment.t0, segment.t1
@@ -440,55 +403,6 @@ class ColumnarSegmentStore(SegmentStore):
             self._t0[best_i], self._p0[best_i], self._t1[best_i], self._p1[best_i]
         )
 
-    def _conflict_vector(
-        self, segment: Segment, lo: int, hi: int
-    ) -> Optional[ConflictHit]:
-        views = self._views()
-        t0s = views[0][lo:hi]
-        t1s = views[1][lo:hi]
-        ks = views[4][lo:hi]
-        cs = views[5][lo:hi]
-        qt0, qt1 = segment.t0, segment.t1
-        m, cq = segment.slope, segment.intercept
-        alive = t1s >= qt0  # t0s <= qt1 already holds by window construction
-        self.judged += int(np.count_nonzero(alive))
-        low = np.maximum(t0s, qt0)
-        high = np.minimum(t1s, qt1)
-        blocked = np.full(hi - lo, _SENT, dtype=np.int64)
-        same = alive & (ks == m) & (cs == cq)
-        blocked[same] = low[same]
-        den = ks - m
-        num = cq - cs
-        neg = den < 0
-        num = np.where(neg, -num, num)
-        aden = np.where(neg, -den, den)
-        cross1 = alive & (aden == 1) & (num >= low) & (num <= high)
-        blocked[cross1] = num[cross1]
-        odd = (num & 1) == 1
-        after = ((num - 1) >> 1) + 1
-        cross_swap = (
-            alive & (aden == 2) & odd & (after - 1 >= low) & (after <= high)
-        )
-        blocked[cross_swap] = after[cross_swap]
-        vertex = num >> 1
-        cross_vertex = (
-            alive & (aden == 2) & ~odd & (vertex >= low) & (vertex <= high)
-        )
-        blocked[cross_vertex] = vertex[cross_vertex]
-        best = int(blocked.min())
-        if best >= _SENT:
-            return None
-        ties = np.nonzero(blocked == best)[0]
-        best_i = int(ties[0])
-        if ties.shape[0] > 1:
-            best_rank = _CLASS_RANK[(m, int(ks[best_i]))]
-            for raw in ties[1:].tolist():
-                rank = _CLASS_RANK[(m, int(ks[raw]))]
-                if rank < best_rank:
-                    best_rank, best_i = rank, raw
-        i = lo + best_i
-        return best, Segment(self._t0[i], self._p0[i], self._t1[i], self._p1[i])
-
     # ------------------------------------------------------------------
     # batched occupancy scans
     def first_occupied(self, pos: int, t_lo: int, t_hi: int) -> Optional[int]:
@@ -506,49 +420,28 @@ class ColumnarSegmentStore(SegmentStore):
         if not n or self._maxb[pos // BAND_WIDTH][n - 1] < t_lo:
             return None
         lo, hi = self._window(t_lo, t_hi)
-        if lo >= hi:
-            return None
-        if hi - lo <= _SCALAR_MAX:
-            t0a, t1a, p0a, ka, ca = self._t0, self._t1, self._p0, self._k, self._c
-            best = -1
-            for i in range(lo, hi):
-                if t1a[i] < t_lo:
+        t0a, t1a, p0a, ka, ca = self._t0, self._t1, self._p0, self._k, self._c
+        best = -1
+        for i in range(lo, hi):
+            if t1a[i] < t_lo:
+                continue
+            k = ka[i]
+            if k == 0:
+                if p0a[i] != pos:
                     continue
-                k = ka[i]
-                if k == 0:
-                    if p0a[i] != pos:
-                        continue
-                    cand = t0a[i] if t0a[i] > t_lo else t_lo
-                else:
-                    cand = (pos - ca[i]) * k
-                    if (
-                        cand < t0a[i] or cand > t1a[i]
-                        or cand < t_lo or cand > t_hi
-                    ):
-                        continue
-                if best < 0 or cand < best:
-                    best = cand
-                    if best <= t_lo:
-                        break
-            return None if best < 0 else best
-        views = self._views()
-        t0s = views[0][lo:hi]
-        t1s = views[1][lo:hi]
-        p0s = views[2][lo:hi]
-        ks = views[4][lo:hi]
-        cs = views[5][lo:hi]
-        occupied = np.full(hi - lo, _SENT, dtype=np.int64)
-        waits = (ks == 0) & (p0s == pos) & (t1s >= t_lo)
-        occupied[waits] = np.maximum(t0s[waits], t_lo)
-        passes = (pos - cs) * ks
-        moves = (
-            (ks != 0)
-            & (passes >= t0s) & (passes <= t1s)
-            & (passes >= t_lo) & (passes <= t_hi)
-        )
-        occupied[moves] = passes[moves]
-        best_v = int(occupied.min())
-        return None if best_v >= _SENT else best_v
+                cand = t0a[i] if t0a[i] > t_lo else t_lo
+            else:
+                cand = (pos - ca[i]) * k
+                if (
+                    cand < t0a[i] or cand > t1a[i]
+                    or cand < t_lo or cand > t_hi
+                ):
+                    continue
+            if best < 0 or cand < best:
+                best = cand
+                if best <= t_lo:
+                    break
+        return None if best < 0 else best
 
     def clear_entry_time(self, pos: int, t_from: int, t_cap: int) -> Optional[int]:
         self.queries += 1
@@ -605,7 +498,7 @@ class ColumnarSegmentStore(SegmentStore):
             # Some band interval overlaps the probe span; fall back to
             # the exact per-segment computation (the band over-covers
             # [lo, hi], so the exact scan may still find a window).
-            return self._free_window_exact(lo, hi, t0, t1)
+            return super().free_window(lo, hi, t0, t1)
         w_lo, w_hi = 0, FOREVER
         for band in range(lo // BAND_WIDTH, hi // BAND_WIDTH + 1):
             entries = self._bands.get(band)
@@ -624,69 +517,6 @@ class ColumnarSegmentStore(SegmentStore):
         # only costs certificate coverage, never correctness.
         return w_lo, w_hi
 
-    def _free_window_exact(
-        self, lo: int, hi: int, t0: int, t1: int
-    ) -> Optional[Tuple[int, int]]:
-        n = len(self._t0)
-        if n <= _SCALAR_MAX:
-            return super().free_window(lo, hi, t0, t1)
-        views = self._views()
-        t0s, t1s, p0s, p1s, ks = views[0], views[1], views[2], views[3], views[4]
-        pmin = np.minimum(p0s, p1s)
-        pmax = np.maximum(p0s, p1s)
-        in_band = (pmax >= lo) & (pmin <= hi)
-        if not bool(in_band.any()):
-            return 0, FOREVER
-        enter = np.where(
-            ks == 0,
-            t0s,
-            np.where(
-                ks == 1,
-                t0s + np.maximum(lo - p0s, 0),
-                t0s + np.maximum(p0s - hi, 0),
-            ),
-        )
-        exit_ = np.where(
-            ks == 0,
-            t1s,
-            np.where(
-                ks == 1,
-                np.minimum(t0s + (hi - p0s), t1s),
-                np.minimum(t0s + (p0s - lo), t1s),
-            ),
-        )
-        if bool((in_band & (enter <= t1) & (exit_ >= t0)).any()):
-            return None
-        w_lo, w_hi = 0, FOREVER
-        below = in_band & (exit_ < t0)
-        if bool(below.any()):
-            w_lo = int(exit_[below].max()) + 1
-        above = in_band & (enter > t1)
-        if bool(above.any()):
-            above_min = int(enter[above].min()) - 1
-            if above_min < w_hi:
-                w_hi = above_min
-        return w_lo, w_hi
-
-    def band_signature(self, lo: int, hi: int, t0: int, t1: int) -> BandSignature:
-        n = len(self._t0)
-        if n == 0:
-            return ()
-        if n <= _SCALAR_MAX:
-            return super().band_signature(lo, hi, t0, t1)
-        views = self._views()
-        t0s, t1s, p0s, p1s = views[0], views[1], views[2], views[3]
-        mask = (
-            (t0s <= t1)
-            & (t1s >= t0)
-            & (np.minimum(p0s, p1s) <= hi)
-            & (np.maximum(p0s, p1s) >= lo)
-        )
-        rows = np.nonzero(mask)[0].tolist()
-        return tuple(
-            (self._t0[i], self._p0[i], self._t1[i], self._p1[i]) for i in rows
-        )
-
     # ------------------------------------------------------------------
     # audit
     def owners_overlapping(self, t0: int, t1: int) -> List[int]:
@@ -698,9 +528,10 @@ class ColumnarSegmentStore(SegmentStore):
         remove-by-value, so after decommits of duplicated segments the
         surviving attribution may name either owner.
         """
-        if len(self._t0) == 0:
-            return []
-        views = self._views()
-        mask = (views[0] <= t1) & (views[1] >= t0) & (views[6] >= 0)
-        owners = {int(o) for o in views[6][mask].tolist()}
+        t0a, t1a, own = self._t0, self._t1, self._own
+        owners: Set[int] = set()
+        # rows past the bisect start after t1 (columns are t0-sorted)
+        for i in range(bisect_right(t0a, t1)):
+            if t1a[i] >= t0 and own[i] >= 0:
+                owners.add(own[i])
         return sorted(owners)

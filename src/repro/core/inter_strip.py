@@ -66,10 +66,9 @@ CrossingKey = Tuple[Grid, Grid, int]
 #: small stores scan cheaply and their certificates live long enough to
 #: pay.  Stores advertising :attr:`SegmentStore.cheap_scans` (the
 #: columnar layout, whose band interval index answers ``free_window``
-#: incrementally and whose ``band_signature`` is one vectorised mask)
-#: skip the throttle entirely — certificate coverage no longer dies on
-#: busy strips there.  Purely a performance gate — either side of it
-#: produces bit-identical routes.
+#: incrementally) skip the throttle entirely — certificate coverage no
+#: longer dies on busy strips there.  Purely a performance gate — either
+#: side of it produces bit-identical routes.
 _CERT_STORE_MAX = 16
 
 #: Largest :meth:`SegmentStore.scan_cost_hint` of a probe region against
@@ -207,29 +206,17 @@ class _Label:
     settled: bool = False
 
 
-def _nearest_transit(
-    ranges: Sequence[Tuple[int, int, int]], pos: int
-) -> Optional[Tuple[int, int]]:
+def _nearest_transit(lo: int, hi: int, offset: int, pos: int) -> Tuple[int, int]:
     """Greedy transit choice (Fig. 10): the adjacent pair nearest ``pos``.
 
-    ``ranges`` are the plain ``(lo, hi, offset)`` tuples of a gapped row
-    of :attr:`repro.core.strips.StripGraph._aisle_adjacency` — this runs
-    once per (settled strip, neighbor) pair, hence the flat ints.
+    ``(lo, hi, offset)`` is the boundary's transit range, as unpacked in
+    a row of :attr:`repro.core.strips.StripGraph._aisle_adjacency`.
     """
-    best: Optional[Tuple[int, int]] = None
-    best_dist = None
-    for lo, hi, offset in ranges:
-        tp = lo if pos < lo else (hi if pos > hi else pos)
-        dist = pos - tp if tp < pos else tp - pos
-        if best_dist is None or dist < best_dist:
-            best = (tp, tp + offset)
-            best_dist = dist
-    return best
+    tp = lo if pos < lo else (hi if pos > hi else pos)
+    return tp, tp + offset
 
 
-def _transit_toward(
-    ranges: Sequence[Tuple[int, int, int]], from_pos: int, target_pos: int
-) -> Optional[Tuple[int, int]]:
+def _transit_toward(lo: int, hi: int, offset: int, target_pos: int) -> Tuple[int, int]:
     """Transit pair whose landing position is nearest ``target_pos``.
 
     Used for edges into the *destination* strip: entering a long,
@@ -237,17 +224,7 @@ def _transit_toward(
     against opposing traffic (an extension over the paper's purely
     source-greedy transit; see DESIGN.md §6).
     """
-    best: Optional[Tuple[int, int]] = None
-    best_key = None
-    for lo, hi, offset in ranges:
-        want = target_pos - offset
-        tp = lo if want < lo else (hi if want > hi else want)
-        vp = tp + offset
-        key = (abs(vp - target_pos), abs(tp - from_pos))
-        if best_key is None or key < best_key:
-            best = (tp, vp)
-            best_key = key
-    return best
+    return _nearest_transit(lo, hi, offset, target_pos - offset)
 
 
 class _Cursor:
@@ -690,17 +667,20 @@ class _Search:
 
         di, dj = dst
         use_h = self.config.use_heuristic
-        # h(v, vp) = hK[v] + |vp + hM[v]| — see StripGraph.heuristic_tables.
-        hK_arr, hM_arr = graph.heuristic_tables(di, dj)
-        hK: List[int] = hK_arr.tolist() if use_h else []
-        hM: List[int] = hM_arr.tolist() if use_h else []
+        # The Manhattan distance to the destination from position ``pos``
+        # of a strip anchored at (ai, aj), computed only for the strips
+        # the search reaches; settle's per-neighbor loop inlines it.
+        anchors = graph.anchors
 
         stats = self.stats
 
         def heuristic(strip: int, pos: int) -> int:
             if not use_h:
                 return 0
-            return hK[strip] + abs(pos + hM[strip])
+            ai, aj, lat = anchors[strip]
+            if lat:
+                return abs(ai - di) + abs(aj + pos - dj)
+            return abs(aj - dj) + abs(ai + pos - di)
 
         def push(strip: int, label: _Label) -> None:
             nonlocal seq
@@ -846,29 +826,29 @@ class _Search:
                 if len(row) > _CURSOR_DEGREE
                 else enumerate(row)
             )
-            for slot, (v, lo, hi, offset, multi) in edges:
+            for slot, (v, lo, hi, offset) in edges:
                 if allowed is not None and not allowed[v]:
                     continue
                 existing = labels_get(v)
                 if v not in target_strips:
                     # Common case: one greedy transit (Fig. 10), fully
-                    # inlined — no nested tuple, no helper call for the
-                    # overwhelmingly common single-range edge (see
-                    # StripGraph's pre-unpacked aisle adjacency).
+                    # inlined — no helper call (see StripGraph's
+                    # pre-unpacked aisle adjacency).
                     if existing is not None and existing.settled:
                         continue
-                    if multi is None:
-                        tp = lo if pos < lo else (hi if pos > hi else pos)
-                        vp = tp + offset
-                    else:
-                        tp, vp = _nearest_transit(multi, pos)
+                    tp = lo if pos < lo else (hi if pos > hi else pos)
+                    vp = tp + offset
                     # Admissible lower bound: free-flow run to the transit
                     # cell plus the boundary hop.
                     bound = arrival + (pos - tp if tp < pos else tp - pos) + 1
                     if existing is not None and existing.arrival <= bound:
                         continue  # dominated before evaluation
                     if use_h:
-                        key = bound + hK[v] + abs(vp + hM[v])
+                        ai, aj, lat = anchors[v]
+                        if lat:
+                            key = bound + abs(ai - di) + abs(aj + vp - dj)
+                        else:
+                            key = bound + abs(aj - dj) + abs(ai + vp - di)
                     else:
                         key = bound
                     # Stubs the pop loop could only ever discard (beyond
@@ -885,19 +865,18 @@ class _Search:
                 # goal column — traversing a long congested strip against
                 # opposing traffic is the main failure mode of the
                 # source-greedy transit.
-                ranges = ((lo, hi, offset),) if multi is None else multi
-                transits = [_nearest_transit(ranges, pos)]
+                transits = [_nearest_transit(lo, hi, offset, pos)]
                 goal_pos = (
                     min(rack_targets[v], key=lambda p: abs(p - pos))
                     if dst_is_rack
                     else dst_pos
                 )
-                aligned = _transit_toward(ranges, pos, goal_pos)
-                if aligned is not None and aligned not in transits:
+                aligned = _transit_toward(lo, hi, offset, goal_pos)
+                if aligned not in transits:
                     transits.append(aligned)
                 for j, (tp, vp) in enumerate(transits):
                     bound = arrival + (pos - tp if tp < pos else tp - pos) + 1
-                    h = hK[v] + abs(vp + hM[v]) if use_h else 0
+                    h = heuristic(v, vp)
                     stats.heap_pushes += 1
                     heappush(
                         heap, (bound + h, -bound, seq0 + 2 * slot + j, 1, u, v, tp, vp, bound)
@@ -908,32 +887,39 @@ class _Search:
         ) -> List[Tuple[int, AisleEdge]]:
             """Queue a wide strip's plain edge stubs behind one heap entry.
 
-            Bounds and keys of every single-range edge come from a few
-            vectorised operations; stubs beyond the detour budget are
-            dropped and the rest sorted into a :class:`_Cursor`.  Returns
-            the ``(slot, edge)`` rows left for the per-stub loop: gapped
-            boundaries and target strips.
+            Bounds and keys of every edge come from a few vectorised
+            operations; stubs beyond the detour budget are dropped and
+            the rest sorted into a :class:`_Cursor`.  Returns the
+            ``(slot, edge)`` rows left for the per-stub loop: the target
+            strips.
             """
             row = aisle_adjacency[u]
             cols = graph.transit_arrays(u)
             tp = np.minimum(np.maximum(cols.lo, pos), cols.hi)
             vp = tp + cols.offset
             bound = np.abs(tp - pos) + (arrival + 1)
-            key = bound + hK_arr[cols.v] + np.abs(vp + hM_arr[cols.v]) if use_h else bound
+            if use_h:
+                lat = cols.lat
+                key = (
+                    bound
+                    + np.abs(cols.cross - np.where(lat, di, dj))
+                    + np.abs(vp + cols.along - np.where(lat, dj, di))
+                )
+            else:
+                key = bound
             keep = key <= key_limit
-            rest = [(slot, row[slot]) for slot in cols.gapped]
+            rest: List[Tuple[int, AisleEdge]] = []
             for v in target_strips:
-                j = cols.index.get(v)
-                if j is not None:
-                    keep[j] = False
-                    slot = int(cols.slot[j])
+                slot = cols.index.get(v)
+                if slot is not None:
+                    keep[slot] = False
                     rest.append((slot, row[slot]))
             live = np.flatnonzero(keep)
             if live.size:
                 # lexsort is stable: equal (key, -bound) stubs stay in
                 # adjacency order, which is their seq order.
                 live = live[np.lexsort((-bound[live], key[live]))]
-                queue_cursor(_Cursor(u, arrival, pos, seq0, cols.slot[live].tolist()), 0)
+                queue_cursor(_Cursor(u, arrival, pos, seq0, live.tolist()), 0)
             return rest
 
         def queue_cursor(cursor: _Cursor, i: int) -> None:
@@ -952,7 +938,7 @@ class _Search:
             while i < len(slots):
                 slot = slots[i]
                 i += 1
-                v, lo, hi, offset, _multi = row[slot]
+                v, lo, hi, offset = row[slot]
                 if allowed is not None and not allowed[v]:
                     continue
                 existing = labels_get(v)
@@ -963,7 +949,7 @@ class _Search:
                 if existing is not None and existing.arrival <= bound:
                     continue
                 vp = tp + offset
-                key = bound + hK[v] + abs(vp + hM[v]) if use_h else bound
+                key = bound + heuristic(v, vp)
                 if best is not None and key >= best.arrival_time:
                     return
                 cursor.i, cursor.v, cursor.tp, cursor.vp, cursor.bound = i, v, tp, vp, bound

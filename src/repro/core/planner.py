@@ -146,10 +146,11 @@ class SRPPlanner(Planner):
             "naive" (Section V-B) or "bucket" (time-bucketed index, an
             extension beyond the paper).  Overrides use_slope_index.
         store_layout: physical layout of the per-strip stores —
-            "columnar" (array-backed parallel int columns with
-            vectorised scans; bit-identical to the slope index and the
-            default for store="slope") or "object" (one Python object
-            per segment; the default for the other backends).
+            "columnar" (array-backed parallel int columns scanned as
+            one contiguous candidate window; bit-identical to the slope
+            index and the default for store="slope") or "object" (one
+            Python object per segment; the default for the other
+            backends).
             "columnar" requires store="slope" — it reproduces exactly
             that backend's semantics.
         cache: memoise intra-strip edge-weight calls keyed by store

@@ -106,28 +106,32 @@ class TransitRange:
         return min(max(pos, self.lo), self.hi)
 
 
-#: one row of :attr:`StripGraph._aisle_adjacency`: ``(v, lo, hi, offset,
-#: None)`` for a single transit range, ``(v, 0, 0, 0, ranges)`` otherwise
-AisleEdge = Tuple[int, int, int, int, Optional[Tuple[Tuple[int, int, int], ...]]]
+#: one row of :attr:`StripGraph._aisle_adjacency`: ``(v, lo, hi, offset)``,
+#: the neighbor strip and the single transit range of the boundary
+AisleEdge = Tuple[int, int, int, int]
 
 
 class TransitArrays(NamedTuple):
-    """One strip's single-range aisle edges as int64 columns.
+    """One strip's aisle edges as columns.
 
-    Entry ``j`` is row ``slot[j]`` of the strip's aisle adjacency; the
+    Entry ``j`` is row ``j`` of the strip's aisle adjacency; the
     inter-strip search bounds and sorts all of a wide strip's edges with
-    a few vectorised operations over these columns.
+    a few vectorised operations over these columns.  ``lat`` is each
+    neighbor's axis and ``cross``/``along`` its anchor coordinate across
+    and along that axis, so the Manhattan heuristic of a landing position
+    ``vp`` is ``|cross - d_cross| + |vp + along - d_along|``, with the
+    destination's coordinates picked by ``lat``.
     """
 
     v: NDArray[np.int64]
     lo: NDArray[np.int64]
     hi: NDArray[np.int64]
     offset: NDArray[np.int64]
-    slot: NDArray[np.int64]
+    lat: NDArray[np.bool_]
+    cross: NDArray[np.int64]
+    along: NDArray[np.int64]
     #: neighbor strip -> entry index
     index: Dict[int, int]
-    #: adjacency slots of gapped (multi-range) edges, not in the columns
-    gapped: Tuple[int, ...]
 
 
 class StripGraph:
@@ -153,17 +157,12 @@ class StripGraph:
         # loop: the inter-strip search touches every aisle neighbor of
         # every settled strip (racks are only endpoints), so dataclass
         # attribute chains there are measurable.  Same iteration order
-        # as neighbors() (dict insertion order).  The single-transit-
-        # range case — the overwhelming warehouse boundary shape — is
-        # pre-unpacked into the row tuple itself: ``(v, lo, hi, offset,
-        # None)``, with ``(v, 0, 0, 0, ((lo, hi, offset), ...))`` for
-        # gapped boundaries, so the settle loop clips positions without
-        # touching a nested tuple per neighbor.
+        # as neighbors() (dict insertion order); every boundary is one
+        # transit range (see _build_edges), unpacked into the row tuple
+        # so the settle loop clips positions without a nested tuple.
         self._aisle_adjacency: List[List[AisleEdge]] = [
             [
-                (v, ranges[0].lo, ranges[0].hi, ranges[0].offset, None)
-                if len(ranges) == 1
-                else (v, 0, 0, 0, tuple((r.lo, r.hi, r.offset) for r in ranges))
+                (v, ranges[0].lo, ranges[0].hi, ranges[0].offset)
                 for v, ranges in adj.items()
                 if self.aisle_flags[v]
             ]
@@ -171,33 +170,9 @@ class StripGraph:
         ]
         # Column form of wide rows, built on a strip's first wide settle.
         self._transit_arrays: List[Optional[TransitArrays]] = [None] * len(strips)
-        # Columnar mirror of ``anchors`` so heuristic_tables() can fold
-        # a whole destination into per-strip constants with a handful of
-        # vectorised ops instead of a Python loop over every strip.
-        self._anchor_rows = np.array([a[0] for a in self.anchors], dtype=np.int64)
-        self._anchor_cols = np.array([a[1] for a in self.anchors], dtype=np.int64)
-        self._anchor_lat = np.array([a[2] for a in self.anchors], dtype=bool)
-
-    def heuristic_tables(
-        self, di: int, dj: int
-    ) -> Tuple[NDArray[np.int64], NDArray[np.int64]]:
-        """Per-strip constants folding the Manhattan heuristic to ``(di, dj)``.
-
-        For a position ``vp`` on strip ``v`` the heuristic is
-        ``K[v] + |vp + M[v]|``: the cross-axis distance is fixed per
-        strip (``K``) and the along-axis term is an absolute offset
-        (``M``), so the search's per-stub cost drops to one list index,
-        one add and one ``abs`` — no anchor tuple unpacking.  Returned as
-        int64 arrays indexed by strip; the search's scalar path takes
-        their ``tolist()`` form.
-        """
-        rows, cols, lat = self._anchor_rows, self._anchor_cols, self._anchor_lat
-        fixed = np.where(lat, np.abs(rows - di), np.abs(cols - dj))
-        offset = np.where(lat, cols - dj, rows - di)
-        return fixed, offset
 
     def transit_arrays(self, strip_index: int) -> TransitArrays:
-        """Column form of a strip's single-range aisle edges.
+        """Column form of a strip's aisle edges.
 
         Built on first use and kept: only the search's wide settles ask,
         so set-up pays nothing for the many strips that never need it.
@@ -206,18 +181,19 @@ class StripGraph:
         arrays = self._transit_arrays[strip_index]
         if arrays is None:
             row = self._aisle_adjacency[strip_index]
-            single = [slot for slot, edge in enumerate(row) if edge[4] is None]
             v, lo, hi, offset = (
-                np.array([row[slot][k] for slot in single], dtype=np.int64) for k in range(4)
+                np.array([edge[k] for edge in row], dtype=np.int64) for k in range(4)
             )
+            anchors = [self.anchors[edge[0]] for edge in row]
             arrays = TransitArrays(
                 v,
                 lo,
                 hi,
                 offset,
-                np.array(single, dtype=np.int64),
-                {row[slot][0]: j for j, slot in enumerate(single)},
-                tuple(slot for slot, edge in enumerate(row) if edge[4] is not None),
+                np.array([lat for _, _, lat in anchors], dtype=np.bool_),
+                np.array([i if lat else j for i, j, lat in anchors], dtype=np.int64),
+                np.array([j if lat else i for i, j, lat in anchors], dtype=np.int64),
+                {edge[0]: j for j, edge in enumerate(row)},
             )
             self._transit_arrays[strip_index] = arrays
         return arrays
@@ -317,7 +293,14 @@ class StripGraph:
         scan(strip_of[:-1, :], strip_of[1:, :], pos_of[:-1, :], pos_of[1:, :])
         scan(strip_of[:, :-1], strip_of[:, 1:], pos_of[:, :-1], pos_of[:, 1:])
         for (u, v), pairs in pair_positions.items():
-            self.adjacency[u][v] = _compress_ranges(pairs)
+            ranges = _compress_ranges(pairs)
+            if len(ranges) != 1:
+                # Two straight strips touch in one contiguous run with a
+                # constant offset; the search relies on that shape.
+                raise LayoutError(
+                    f"strips {u} and {v} touch in {len(ranges)} separate ranges"
+                )
+            self.adjacency[u][v] = ranges
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StripGraph(strips={self.n_vertices}, edges={self.n_edges})"

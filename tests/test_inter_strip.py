@@ -141,18 +141,13 @@ class TestCrossingSemantics:
 
 
 class TestNearestTransit:
-    # The helpers take the flattened (lo, hi, offset) tuples of a gapped
+    # The helpers take the unpacked (lo, hi, offset) of a
     # StripGraph._aisle_adjacency row, not TransitRange objects.
     def test_inside_range(self):
-        assert _nearest_transit([(0, 9, 2)], 4) == (4, 6)
+        assert _nearest_transit(0, 9, 2, 4) == (4, 6)
 
     def test_clamped(self):
-        assert _nearest_transit([(3, 5, 0)], 0) == (3, 3)
-
-    def test_picks_closest_range(self):
-        ranges = [(0, 1, 0), (8, 9, 0)]
-        assert _nearest_transit(ranges, 7) == (8, 8)
-        assert _nearest_transit(ranges, 2) == (1, 1)
+        assert _nearest_transit(3, 5, 0, 0) == (3, 3)
 
 
 class TestTrafficInteraction:
@@ -214,22 +209,12 @@ class TestTransitToward:
     def test_lands_at_target(self):
         from repro.core.inter_strip import _transit_toward
 
-        ranges = [(0, 9, 2)]
-        assert _transit_toward(ranges, from_pos=0, target_pos=7) == (5, 7)
+        assert _transit_toward(0, 9, 2, target_pos=7) == (5, 7)
 
     def test_clamped_to_range(self):
         from repro.core.inter_strip import _transit_toward
 
-        ranges = [(3, 5, 0)]
-        assert _transit_toward(ranges, from_pos=0, target_pos=9) == (5, 5)
-
-    def test_prefers_landing_accuracy_then_proximity(self):
-        from repro.core.inter_strip import _transit_toward
-
-        ranges = [(0, 2, 0), (8, 9, 0)]
-        # Target 8 reachable exactly via the second range even though
-        # the first is closer to from_pos.
-        assert _transit_toward(ranges, from_pos=1, target_pos=8) == (8, 8)
+        assert _transit_toward(3, 5, 0, target_pos=9) == (5, 5)
 
 
 class TestSearchConfigKnobs:

@@ -1,8 +1,8 @@
 """Differential tests of the strip-level search's sorted stub cursor.
 
 A settle of a strip whose aisle degree exceeds
-``inter_strip._CURSOR_DEGREE`` queues its single-range edge stubs behind
-one sorted heap entry instead of one entry each.  The heap must pop in
+``inter_strip._CURSOR_DEGREE`` queues its edge stubs behind one sorted
+heap entry instead of one entry each.  The heap must pop in
 exactly the same order either way, so forcing the cursor onto every
 strip (threshold 0) and onto none (a huge threshold) must give identical
 route plans and identical search counters — all but ``heap_pushes`` and
@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro import Query, SRPPlanner, build_strip_graph, datasets
-from repro.core import inter_strip
-from repro.exceptions import InvalidQueryError, PlanningFailedError
+from repro.core import inter_strip, strips
+from repro.exceptions import InvalidQueryError, LayoutError, PlanningFailedError
 from repro.service.sharding import compute_partition
 
 WAREHOUSE = datasets.dataset_by_name("W-1", scale=0.3)
@@ -26,26 +26,6 @@ RACKS = [(int(i), int(j)) for i, j in np.argwhere(WAREHOUSE.racks)]
 #: SearchStats fields allowed to differ between the two paths
 UNCOMPARED = {"heap_pushes", "intra_time", "cache_time"}
 ALL, NONE = 0, 10**9
-
-
-def split_ranges(graph):
-    """Cut every multi-cell transit range of the wide rows in two.
-
-    The two halves offer exactly the transits of the whole range, so the
-    routes stay those of the unsplit graph, but every such row becomes a
-    gapped boundary, which the cursor leaves to the per-stub path.
-    """
-    for u, row in enumerate(graph._aisle_adjacency):
-        if len(row) < 8:
-            continue
-        split = []
-        for v, lo, hi, offset, multi in row:
-            if multi is None and hi > lo:
-                mid = (lo + hi) // 2
-                split.append((v, 0, 0, 0, ((lo, mid, offset), (mid + 1, hi, offset))))
-            else:
-                split.append((v, lo, hi, offset, multi))
-        graph._aisle_adjacency[u] = split
 
 
 def endpoint(rng, rows):
@@ -57,7 +37,7 @@ def endpoint(rng, rows):
             return cell
 
 
-def drive(monkeypatch, degree, seed, queries, regions=1, gapped=False, **planner_kw):
+def drive(monkeypatch, degree, seed, queries, regions=1, **planner_kw):
     """Plan a seeded stream; return every search's plan and counters.
 
     With ``regions`` > 1 every query goes to the planner of one region of
@@ -83,9 +63,6 @@ def drive(monkeypatch, degree, seed, queries, regions=1, gapped=False, **planner
             SRPPlanner(WAREHOUSE, region=part.mask(r), **planner_kw) for r in range(regions)
         ]
         bounds = list(part.bounds)
-    if gapped:
-        for planner in planners:
-            split_ranges(planner.graph)
     rng = random.Random(seed)
     release = 0
     outcomes = []
@@ -101,31 +78,22 @@ def drive(monkeypatch, degree, seed, queries, regions=1, gapped=False, **planner
     cursors = sum(
         arrays is not None for planner in planners for arrays in planner.graph._transit_arrays
     )
-    gapped_rows = sum(
-        len(arrays.gapped)
-        for planner in planners
-        for arrays in planner.graph._transit_arrays
-        if arrays is not None
-    )
-    return searches, outcomes, cursors, gapped_rows
+    return searches, outcomes, cursors
 
 
 STREAMS = {
     "aisle-and-rack": dict(seed=1, queries=150),
     "no-heuristic": dict(seed=2, queries=80, use_heuristic=False),
     "regions": dict(seed=3, queries=150, regions=2),
-    "gapped": dict(seed=4, queries=100, gapped=True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STREAMS))
 def test_cursor_pops_like_per_stub_pushes(monkeypatch, name):
     stream = STREAMS[name]
-    on, on_outcomes, on_cursors, on_gapped = drive(monkeypatch, ALL, **stream)
-    off, off_outcomes, off_cursors, _ = drive(monkeypatch, NONE, **stream)
+    on, on_outcomes, on_cursors = drive(monkeypatch, ALL, **stream)
+    off, off_outcomes, off_cursors = drive(monkeypatch, NONE, **stream)
     assert on_cursors > 0 and off_cursors == 0
-    if stream.get("gapped"):
-        assert on_gapped > 0
     assert on_outcomes == off_outcomes
     assert len(on) == len(off)
     for k, ((plan_on, stats_on), (plan_off, stats_off)) in enumerate(zip(on, off)):
@@ -148,13 +116,31 @@ def test_heap_pushes_counted_and_summed():
 
 def test_transit_arrays_mirror_the_aisle_adjacency():
     graph = SRPPlanner(WAREHOUSE).graph
-    split_ranges(graph)
     for u, row in enumerate(graph._aisle_adjacency):
         arrays = graph.transit_arrays(u)
         assert graph.transit_arrays(u) is arrays
-        single = [(slot, edge) for slot, edge in enumerate(row) if edge[4] is None]
-        assert arrays.slot.tolist() == [slot for slot, _ in single]
         columns = (arrays.v, arrays.lo, arrays.hi, arrays.offset)
-        assert list(zip(*(c.tolist() for c in columns))) == [edge[:4] for _, edge in single]
-        assert arrays.gapped == tuple(slot for slot, edge in enumerate(row) if edge[4] is not None)
-        assert all(row[arrays.slot[j]][0] == v for v, j in arrays.index.items())
+        assert list(zip(*(c.tolist() for c in columns))) == row
+        assert all(row[j][0] == v for v, j in arrays.index.items())
+        for v, lat, cross, along in zip(
+            arrays.v.tolist(), arrays.lat.tolist(), arrays.cross.tolist(), arrays.along.tolist()
+        ):
+            ai, aj, is_lat = graph.anchors[v]
+            assert (lat, cross, along) == ((is_lat, ai, aj) if is_lat else (is_lat, aj, ai))
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+@pytest.mark.parametrize("name", ["W-1", "W-2", "W-3"])
+def test_every_boundary_is_one_transit_range(name, scale):
+    """The search assumes one contiguous transit range per strip pair."""
+    graph = build_strip_graph(datasets.dataset_by_name(name, scale=scale))
+    assert graph.n_edges > 0
+    for adj in graph.adjacency:
+        assert all(len(ranges) == 1 for ranges in adj.values())
+
+
+def test_gapped_boundary_is_refused(monkeypatch):
+    original = strips._compress_ranges
+    monkeypatch.setattr(strips, "_compress_ranges", lambda pairs: original(pairs) * 2)
+    with pytest.raises(LayoutError, match="separate ranges"):
+        build_strip_graph(WAREHOUSE)

@@ -15,8 +15,10 @@ compared here; soundness and containment are covered for all store
 classes by ``test_free_windows``.
 """
 
+import random
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Query, SRPPlanner
 from repro.analysis.validate import audit_planner_state
@@ -110,8 +112,47 @@ def _drive(store, ops):
     return log
 
 
+def _random_segment(rng, max_t=30, max_p=12, max_len=8):
+    t0 = rng.randint(0, max_t)
+    p0 = rng.randint(0, max_p)
+    slope = rng.choice((-1, 0, 1))
+    length = rng.randint(0, max_len)
+    return Segment(t0, p0, t0 + length, p0 + slope * length)
+
+
+def _wide_window_ops(batches=12):
+    """Store ops whose probes scan candidate windows far above 32.
+
+    Each batch bulk-inserts 40-120 segments packed into 30 s x 13 cells,
+    plus a few waits of 60-150 s that stretch the longest stored
+    duration, and with it every probe's candidate window, over the whole
+    column; then it probes and clears the store.  At this density equal
+    blocked times from different slope classes are common (522 of the
+    720 conflict probes scan a window above 32 candidates, and 97 tie
+    across classes), so the scan's rank tie-break and its early exit both
+    run on wide windows.
+    """
+    rng = random.Random(14)
+    ops = []
+    for _ in range(batches):
+        segments = [_random_segment(rng) for _ in range(rng.randint(40, 120))]
+        for _ in range(rng.randint(1, 3)):
+            t0, pos = rng.randint(0, 20), rng.randint(0, 12)
+            segments.append(Segment(t0, pos, t0 + rng.randint(60, 150), pos))
+        rng.shuffle(segments)
+        ops += [("insert", seg, owner % 6 - 1) for owner, seg in enumerate(segments)]
+        for _ in range(60):
+            span = (rng.randint(0, 40), rng.randint(0, 12))
+            ops.append(("conflict", _random_segment(rng, max_t=40), 0))
+            ops.append(("first_occupied", rng.randint(0, 12), span))
+            ops.append(("clear_entry", rng.randint(0, 12), span))
+        ops.append(("clear", 0, 0))
+    return ops
+
+
 @settings(max_examples=120, deadline=None)
 @given(ops=st.lists(_STORE_OP, min_size=1, max_size=30))
+@example(ops=_wide_window_ops())
 def test_columnar_matches_slope_index(ops):
     assert _drive(ColumnarSegmentStore(), ops) == _drive(SlopeIndexedStore(), ops)
 
